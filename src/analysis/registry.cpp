@@ -56,7 +56,10 @@ void run_hula(AuditSession& session) {
   probe.origin_tor = NodeId{2};
   probe.max_util = 10;
   probe.trace.push_back(apps::hula::HopRecord{NodeId{3}, PortId{1}, 5});
-  session.inject(apps::hula::encode_probe(probe), PortId{1});
+  session.inject(apps::hula::encode_probe(probe).value(), PortId{1});
+  // A full trace is dropped before any register access.
+  probe.trace.assign(apps::hula::kMaxProbeHops, apps::hula::HopRecord{NodeId{4}, PortId{1}, 5});
+  session.inject(apps::hula::encode_probe(probe).value(), PortId{1});
   session.inject(apps::hula::encode_data({NodeId{2}, 0x1234, 500}), PortId{3});
   session.inject(apps::hula::encode_data({NodeId{2}, 0x1234, 700}), PortId{3});  // flowlet hit
   session.inject(apps::hula::encode_data({NodeId{1}, 0x99, 100}), PortId{3});    // self-sink

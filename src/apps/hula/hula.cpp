@@ -65,7 +65,7 @@ dataplane::PipelineOutput HulaProgram::process(dataplane::Packet& packet,
       if (!config_.is_tor) return dataplane::PipelineOutput::drop();
       return generate_probe(ctx);
     case kProbeMagic: {
-      auto probe = decode_probe(packet.payload);
+      const auto probe = parse_probe(packet.payload);
       if (!probe.ok()) return dataplane::PipelineOutput::drop();
       return handle_probe(probe.value(), packet, ctx);
     }
@@ -97,23 +97,19 @@ void HulaProgram::plan_burst(std::span<const dataplane::BurstFrameView> frames) 
 }
 
 dataplane::PipelineOutput HulaProgram::generate_probe(dataplane::PipelineContext& ctx) {
-  Probe probe;
-  probe.origin_tor = config_.self;
-  probe.max_util = 0;
-  probe.trace.push_back(HopRecord{config_.self, kCpuPort, 0});
   ++stats_.probes_generated;
+  const HopRecord origin{config_.self, kCpuPort, 0};
   dataplane::PipelineOutput out;
-  const Bytes encoded = encode_probe(probe);
   for (const PortId port : config_.probe_ports) {
-    // Probe replication: each copy lands in a recycled pool buffer.
-    Bytes copy = ctx.acquire_buffer(encoded.size());
-    copy.assign(encoded.begin(), encoded.end());
+    // Probe replication: each copy is written into a recycled pool buffer.
+    Bytes copy = ctx.acquire_buffer(kProbeHeaderSize + kHopRecordSize);
+    write_new_probe(config_.self, origin, copy);
     out.emits.push_back(dataplane::Emit{port, std::move(copy)});
   }
   return out;
 }
 
-dataplane::PipelineOutput HulaProgram::handle_probe(const Probe& incoming,
+dataplane::PipelineOutput HulaProgram::handle_probe(const ProbeView& probe,
                                                     dataplane::Packet& packet,
                                                     dataplane::PipelineContext& ctx) {
   ++stats_.probes_processed;
@@ -121,16 +117,17 @@ dataplane::PipelineOutput HulaProgram::handle_probe(const Probe& incoming,
   stats_.last_probe_time = now;
   ctx.costs().register_accesses += 2;
 
-  Probe probe = incoming;
   // Loop prevention: never process a probe we already stamped.
-  for (const auto& hop : probe.trace) {
-    if (hop.node == config_.self) return dataplane::PipelineOutput::drop();
+  for (std::size_t i = 0; i < probe.hops(); ++i) {
+    if (probe.hop(i).node == config_.self) return dataplane::PipelineOutput::drop();
   }
+  // A full trace has no room for this hop's record.
+  if (probe.hops() == kMaxProbeHops) return dataplane::PipelineOutput::drop();
 
   const std::uint8_t link_util = util_pct(packet.ingress, now);
-  probe.max_util = std::max(probe.max_util, link_util);
+  const std::uint8_t max_util = std::max(probe.max_util(), link_util);
 
-  const std::uint16_t tor = probe.origin_tor.value;
+  const std::uint16_t tor = probe.origin_tor().value;
   if (tor >= best_hop_->size()) return dataplane::PipelineOutput::drop();
 
   // HULA update rule: adopt the probe's path if it beats the current best,
@@ -141,22 +138,22 @@ dataplane::PipelineOutput HulaProgram::handle_probe(const Probe& incoming,
   const bool stale = last.ns() == 0 || now - last > config_.entry_timeout;
   const std::uint64_t encoded_hop = static_cast<std::uint64_t>(packet.ingress.value) + 1;
   ctx.costs().register_accesses += 3;
-  if (stale || current_hop == kNoHop || probe.max_util <= current_util ||
+  if (stale || current_hop == kNoHop || max_util <= current_util ||
       current_hop == encoded_hop) {
     (void)best_hop_->write(tor, encoded_hop);
-    (void)best_util_->write(tor, probe.max_util);
+    (void)best_util_->write(tor, max_util);
     (void)last_update_->write(tor, now.ns());
     ctx.costs().register_accesses += 3;
   }
 
-  probe.trace.push_back(HopRecord{config_.self, packet.ingress, link_util});
-
+  // Each forwarded copy is the incoming frame plus this hop's record,
+  // written straight into its pool buffer.
+  const HopRecord stamp{config_.self, packet.ingress, link_util};
   dataplane::PipelineOutput out;
-  const Bytes encoded = encode_probe(probe);
   for (const PortId port : config_.probe_ports) {
     if (port == packet.ingress) continue;
-    Bytes copy = ctx.acquire_buffer(encoded.size());
-    copy.assign(encoded.begin(), encoded.end());
+    Bytes copy = ctx.acquire_buffer(probe.frame().size() + kHopRecordSize);
+    write_forwarded_probe(probe, max_util, stamp, copy);
     out.emits.push_back(dataplane::Emit{port, std::move(copy)});
   }
   return out;
@@ -260,8 +257,10 @@ dataplane::PipelineModel HulaProgram::pipeline_model() const {
   const auto probe = m.then(entry, M::parse("probe"),
                             "probe", {{"hdr.hula.valid", true}, {"hdr.probe", true}});
   m.then(probe, M::drop(), "loop", {{"probe.seen_self", true}});
+  m.then(probe, M::drop(), "trace_full",
+         {{"probe.seen_self", false}, {"probe.trace_full", true}});
   const auto util = m.then(probe, M::reg_read("hula_util_bytes"), "fresh",
-                           {{"probe.seen_self", false}});
+                           {{"probe.seen_self", false}, {"probe.trace_full", false}});
   const auto util2 = m.then(util, M::reg_read("hula_util_time"));
   m.then(util2, M::drop(), "tor_oob", {{"probe.tor_in_range", false}});
   const auto best = m.then(util2, M::reg_read("hula_best_hop"), "in_range",

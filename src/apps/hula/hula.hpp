@@ -67,7 +67,7 @@ class HulaProgram : public dataplane::DataPlaneProgram {
   void bump_util(PortId port, std::size_t bytes, SimTime now);
   std::uint8_t util_pct(PortId port, SimTime now) const;
 
-  dataplane::PipelineOutput handle_probe(const Probe& probe, dataplane::Packet& packet,
+  dataplane::PipelineOutput handle_probe(const ProbeView& probe, dataplane::Packet& packet,
                                          dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_data(const DataPacket& data, dataplane::Packet& packet,
                                         dataplane::PipelineContext& ctx);

@@ -15,7 +15,7 @@ bool forge_probe(Bytes& probe_bytes, std::uint8_t forced_util) {
   hula::Probe forged = probe.value();
   forged.max_util = forced_util;
   for (auto& hop : forged.trace) hop.util = std::min(hop.util, forced_util);
-  probe_bytes = hula::encode_probe(forged);
+  probe_bytes = hula::encode_probe(forged).value();  // decoded traces always fit
   return true;
 }
 

@@ -19,7 +19,8 @@ Bytes BufferPool::acquire(std::size_t capacity_hint) {
 }
 
 void BufferPool::release(Bytes&& buffer) {
-  if (buffer.capacity() == 0 || free_.size() >= config_.max_buffers) {
+  if (buffer.capacity() < config_.min_capacity || buffer.capacity() > max_parked_capacity() ||
+      free_.size() >= config_.max_buffers) {
     ++stats_.dropped;
     Bytes discard = std::move(buffer);  // free now, off the list
     return;

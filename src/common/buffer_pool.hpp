@@ -36,7 +36,7 @@ class BufferPool {
     std::uint64_t reuses = 0;    ///< acquires served from the free list
     std::uint64_t misses = 0;    ///< acquires that had to allocate
     std::uint64_t releases = 0;  ///< buffers parked on the free list
-    std::uint64_t dropped = 0;   ///< releases refused (list full / no storage)
+    std::uint64_t dropped = 0;   ///< releases refused (list full / outside the parking window)
     std::uint64_t high_water = 0;  ///< max free-list length observed
   };
 
@@ -50,10 +50,18 @@ class BufferPool {
   /// recycled when the free list has one.
   Bytes acquire(std::size_t capacity_hint = 0);
 
-  /// Parks a dead buffer's storage for reuse. Buffers that never
-  /// allocated (capacity 0, e.g. moved-from vectors) and releases past
-  /// the cap are dropped.
+  /// Parks a dead buffer's storage for reuse when an acquire could use
+  /// it as is: capacity in [min_capacity, max_parked_capacity()]. Other
+  /// buffers, and releases past the cap, are dropped (freed now).
+  /// Acquires are for frames the pipeline builds (probes, wrapped
+  /// feedback, alerts), a few hundred bytes at most. A smaller buffer —
+  /// an exact-size frame a host injected, or a moved-from vector — would
+  /// be regrown by the acquire that takes it; a larger one is a dead data
+  /// payload that would only pin memory on the free list.
   void release(Bytes&& buffer);
+
+  /// Largest buffer worth parking: 4 x min_capacity.
+  std::size_t max_parked_capacity() const noexcept { return 4 * config_.min_capacity; }
 
   std::size_t free_buffers() const noexcept { return free_.size(); }
   const Stats& stats() const noexcept { return stats_; }

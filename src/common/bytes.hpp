@@ -62,6 +62,23 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// Network-order loads and stores on raw bytes, for fixed-layout codecs
+/// that check the frame length once instead of per field. The caller
+/// guarantees the bytes exist.
+inline std::uint16_t load_be16(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) << 8 | p[1]);
+}
+
+inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) << 24 | static_cast<std::uint32_t>(p[1]) << 16 |
+         static_cast<std::uint32_t>(p[2]) << 8 | static_cast<std::uint32_t>(p[3]);
+}
+
+inline void store_be16(std::uint8_t* p, std::uint16_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+
 /// Hex rendering for logs and test diagnostics, e.g. "de:ad:be:ef".
 std::string to_hex(std::span<const std::uint8_t> data);
 

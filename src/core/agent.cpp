@@ -229,12 +229,14 @@ dataplane::PipelineOutput P4AuthAgent::process(dataplane::Packet& packet,
   }
 
   if (looks_like_p4auth(packet.payload)) {
+    // DpData needs only its header: the payload is opaque, verified in
+    // place and handed on in the frame's own buffer.
+    if (packet.payload[0] == static_cast<std::uint8_t>(HdrType::DpData)) {
+      return handle_dp_data(decode_header(packet.payload).value(), packet, ctx);
+    }
     auto decoded = decode(packet.payload);
     if (decoded.ok()) {
-      Message& msg = decoded.value();
-      if (msg.header.hdr_type == HdrType::DpData) {
-        return handle_dp_data(msg, packet, ctx);
-      }
+      const Message& msg = decoded.value();
       if (msg.header.hdr_type == HdrType::KeyExchange) {
         return handle_key_exchange_port(msg, packet.ingress, ctx);
       }
@@ -308,7 +310,7 @@ void P4AuthAgent::plan_burst(std::span<const dataplane::BurstFrameView> frames) 
       // frame[0..10) + frame[14..) by construction (PR 3 seam).
       const auto key = keys_.get(view.ingress, KeyVersion{f[4]});
       if (key.has_value()) {
-        jobs[njobs] = crypto::DigestJob{*key, f.first(10), f.subspan(kHeaderSize)};
+        jobs[njobs] = crypto::DigestJob{*key, f.first(kDigestOffset), f.subspan(kHeaderSize)};
         pending[njobs] = dataplane::PlannedDigest{f.data(), f.size(), *key, 0};
         ++njobs;
       }
@@ -632,65 +634,70 @@ dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_cpu(const Message& ms
   return out;
 }
 
-dataplane::PipelineOutput P4AuthAgent::handle_dp_data(Message& msg,
+dataplane::PipelineOutput P4AuthAgent::handle_dp_data(const Header& header,
                                                       dataplane::Packet& packet,
                                                       dataplane::PipelineContext& ctx) {
   const PortId port = packet.ingress;
+  const std::span<const std::uint8_t> frame = packet.payload;
   dataplane::PipelineOutput out;
 
   // Claim before the key check so a plan entry is always consumed in
   // frame order, keeping the plan cursor aligned even when the key
   // chain changed between planning and processing.
-  const dataplane::PlannedDigest* planned =
-      burst_plan_.claim(packet.payload.data(), packet.payload.size());
-  const auto key = keys_.get(port, msg.header.key_version);
+  const dataplane::PlannedDigest* planned = burst_plan_.claim(frame.data(), frame.size());
+  const auto key = keys_.get(port, header.key_version);
   bool verified = false;
   if (key.has_value()) {
     if (planned != nullptr && planned->key == *key) {
       // The burst pre-pass already hashed this frame's wire bytes under
-      // the same key. The digest input is head (10 header bytes) + tail
-      // (payload past the digest field) = frame minus the 4 digest
+      // the same key. The digest input is the frame minus the 4 digest
       // bytes; bill those, exactly like the scalar verify below.
-      verified = digest_.verify_planned(planned->digest, packet.payload.size() - 4,
-                                        msg.header.digest, ctx.costs());
+      verified = digest_.verify_planned(planned->digest, frame.size() - 4, header.digest,
+                                        ctx.costs());
     } else {
-      DigestScratch scratch;
-      const DigestView input = digest_input_into(msg, scratch);
-      verified = digest_.verify(*key, input.head, input.tail, msg.header.digest, ctx.costs());
+      verified = digest_.verify(*key, frame.first(kDigestOffset), frame.subspan(kHeaderSize),
+                                header.digest, ctx.costs());
     }
   }
   ctx.note_verify("dp_verify", verified);
-  note_verify(ctx, verified, port, msg.header.seq_num, HdrType::DpData);
+  note_verify(ctx, verified, port, header.seq_num, HdrType::DpData);
   if (!verified) {
     ++stats_.digest_failures;
     ++stats_.feedback_rejected;
     out = dataplane::PipelineOutput::drop();
-    push_alert(out, ctx, AlertMsg::DigestMismatch, port.value, msg.header.seq_num, 0);
+    push_alert(out, ctx, AlertMsg::DigestMismatch, port.value, header.seq_num, 0);
     return out;
   }
-  if (!port_rx_[port].accept(msg.header.seq_num)) {
+  if (!port_rx_[port].accept(header.seq_num)) {
     ++stats_.replay_rejections;
-    note_replay(ctx, port, msg.header.seq_num, port_rx_[port].last());
+    note_replay(ctx, port, header.seq_num, port_rx_[port].last());
     out = dataplane::PipelineOutput::drop();
-    push_alert(out, ctx, AlertMsg::ReplayDetected, port.value, msg.header.seq_num,
+    push_alert(out, ctx, AlertMsg::ReplayDetected, port.value, header.seq_num,
                port_rx_[port].last());
     return out;
   }
   ++stats_.feedback_verified;
 
+  // The inner program gets the frame's own buffer, header stripped.
   dataplane::Packet inner_packet;
-  inner_packet.payload = std::move(std::get<DpDataPayload>(msg.payload).inner);
-  if (msg.header.is_encrypted()) {
-    // MAC already verified over the ciphertext; now decrypt with the key
-    // derived from the same port master secret.
+  inner_packet.payload = std::move(packet.payload);
+  inner_packet.payload.erase(inner_packet.payload.begin(),
+                             inner_packet.payload.begin() + kHeaderSize);
+  if (header.is_encrypted()) {
+    // MAC already verified over the ciphertext; now decrypt in place with
+    // the key derived from the same port master secret.
     const Key64 enc_key =
         config_.schedule.kdf.derive_labeled(*key, 0, crypto::kEncryptionLabel);
-    crypto::xor_keystream(enc_key, feedback_nonce(msg.header), inner_packet.payload);
+    crypto::xor_keystream(enc_key, feedback_nonce(header), inner_packet.payload);
     ctx.costs().add_hash(inner_packet.payload.size());
   }
   inner_packet.ingress = port;
   inner_packet.arrival = packet.arrival;
-  return run_inner(inner_packet, ctx);
+  out = run_inner(inner_packet, ctx);
+  // Whatever the inner program left in the buffer is dead now (a
+  // forwarding program moves it into an emit); recycle it.
+  if (inner_packet.payload.capacity() > 0) ctx.release_buffer(std::move(inner_packet.payload));
+  return out;
 }
 
 dataplane::PipelineOutput P4AuthAgent::handle_key_exchange_port(const Message& msg,

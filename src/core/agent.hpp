@@ -132,10 +132,9 @@ class P4AuthAgent : public dataplane::DataPlaneProgram {
                                                dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_key_exchange_cpu(const Message& msg,
                                                     dataplane::PipelineContext& ctx);
-  // DP-DP dispatch (data-port arrivals). Takes the message by mutable
-  // reference so the verified DpData inner payload can be moved out
-  // instead of copied.
-  dataplane::PipelineOutput handle_dp_data(Message& msg, dataplane::Packet& packet,
+  // DP-DP dispatch (data-port arrivals). DpData is verified over the
+  // wire bytes in `packet`, whose buffer then carries the inner payload.
+  dataplane::PipelineOutput handle_dp_data(const Header& header, dataplane::Packet& packet,
                                            dataplane::PipelineContext& ctx);
   dataplane::PipelineOutput handle_key_exchange_port(const Message& msg, PortId ingress,
                                                      dataplane::PipelineContext& ctx);

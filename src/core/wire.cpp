@@ -1,14 +1,14 @@
 #include "core/wire.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace p4auth::core {
 namespace {
 
-/// ByteWriter-compatible writer into a fixed caller-provided buffer —
-/// the digest scratch path, where the output must not heap-allocate.
-/// The caller guarantees capacity (DigestScratch is sized for the
-/// header plus the largest fixed payload).
+/// Network-order writer into a fixed caller-provided buffer — the digest
+/// scratch and the pre-sized encode buffer, where the output must not
+/// heap-allocate. The caller guarantees capacity.
 class ScratchWriter {
  public:
   explicit ScratchWriter(std::uint8_t* out) noexcept : begin_(out), p_(out) {}
@@ -36,8 +36,7 @@ class ScratchWriter {
   std::uint8_t* p_;
 };
 
-template <typename Writer>
-void write_header(Writer& w, const Header& h) {
+void write_header(ScratchWriter& w, const Header& h) {
   w.u8(static_cast<std::uint8_t>(h.hdr_type))
       .u8(h.msg_type)
       .u16(h.seq_num)
@@ -50,8 +49,7 @@ void write_header(Writer& w, const Header& h) {
 
 /// Header prefix the digest covers: everything above except the digest
 /// field itself (the header's last 4 bytes).
-template <typename Writer>
-void write_header_sans_digest(Writer& w, const Header& h) {
+void write_header_sans_digest(ScratchWriter& w, const Header& h) {
   w.u8(static_cast<std::uint8_t>(h.hdr_type))
       .u8(h.msg_type)
       .u16(h.seq_num)
@@ -64,8 +62,7 @@ void write_header_sans_digest(Writer& w, const Header& h) {
 /// Writes the fixed-width payload alternatives. DpData (the only
 /// variable-length payload) is excluded so this can target the digest
 /// scratch; callers handle it explicitly.
-template <typename Writer>
-void write_fixed_payload(Writer& w, const Payload& payload) {
+void write_fixed_payload(ScratchWriter& w, const Payload& payload) {
   std::visit(
       [&w](const auto& p) {
         using T = std::decay_t<decltype(p)>;
@@ -112,29 +109,36 @@ Bytes encode(const Message& message) {
 
 void encode_into(const Message& message, Bytes& out) {
   assert(payload_matches_type(message));
-  out.clear();
-  out.reserve(encoded_size(message.payload));  // exact: header included
-  ByteWriter w(out);
+  out.resize(encoded_size(message.payload));  // exact: header included
+  ScratchWriter w(out.data());
   write_header(w, message.header);
   write_fixed_payload(w, message.payload);
-  if (const auto* dp = std::get_if<DpDataPayload>(&message.payload)) w.raw(dp->inner);
+  if (const auto* dp = std::get_if<DpDataPayload>(&message.payload)) {
+    std::copy(dp->inner.begin(), dp->inner.end(), out.begin() + w.written());
+  }
+}
+
+Result<Header> decode_header(std::span<const std::uint8_t> frame) {
+  if (frame.size() < kHeaderSize) return make_error("p4auth frame truncated");
+  const std::uint8_t* p = frame.data();
+  if (p[0] < 1 || p[0] > 4) return make_error("unknown hdrType");
+  Header h;
+  h.hdr_type = static_cast<HdrType>(p[0]);
+  h.msg_type = p[1];
+  h.seq_num = load_be16(p + 2);
+  h.key_version = KeyVersion{p[4]};
+  h.flags = p[5];
+  h.src = NodeId{load_be16(p + 6)};
+  h.dst = NodeId{load_be16(p + 8)};
+  h.digest = load_be32(p + 10);
+  return h;
 }
 
 Result<Message> decode(std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (frame.size() < kHeaderSize) return make_error("p4auth frame truncated");
-
-  Header h;
-  const auto hdr_type = r.u8().value();
-  if (hdr_type < 1 || hdr_type > 4) return make_error("unknown hdrType");
-  h.hdr_type = static_cast<HdrType>(hdr_type);
-  h.msg_type = r.u8().value();
-  h.seq_num = r.u16().value();
-  h.key_version = KeyVersion{r.u8().value()};
-  h.flags = r.u8().value();
-  h.src = NodeId{r.u16().value()};
-  h.dst = NodeId{r.u16().value()};
-  h.digest = r.u32().value();
+  const auto header = decode_header(frame);
+  if (!header.ok()) return header.error();
+  const Header& h = header.value();
+  ByteReader r(frame.subspan(kHeaderSize));
 
   Message m;
   m.header = h;

@@ -70,6 +70,10 @@ struct Header {
 };
 
 inline constexpr std::size_t kHeaderSize = 14;
+/// Offset of the 4-byte digest field, the header's last. The digest
+/// input of an encoded frame is frame[0..kDigestOffset) +
+/// frame[kHeaderSize..).
+inline constexpr std::size_t kDigestOffset = kHeaderSize - 4;
 
 /// Register read/write request/response body (readReq/writeReq/ack/nAck).
 /// `value` is the write value in writeReq and the read result in ack.
@@ -128,13 +132,21 @@ struct Message {
 /// header.hdr_type / msg_type (checked by assert in debug builds).
 Bytes encode(const Message& message);
 
-/// Serializes into `out` (cleared first, exact-size reserve). Reusing a
-/// pooled buffer here keeps the tag-and-emit path allocation-free.
+/// Serializes into `out` (resized to the exact encoded size; prior
+/// contents are overwritten). Reusing a pooled buffer here keeps the
+/// tag-and-emit path allocation-free.
 void encode_into(const Message& message, Bytes& out);
 
 /// Parses a frame. Fails on truncation, unknown types, or a payload
 /// alternative that does not match the header.
 Result<Message> decode(std::span<const std::uint8_t> frame);
+
+/// Parses only the leading p4auth_h, the header check decode() runs
+/// first. Fails on a frame shorter than kHeaderSize or an unknown
+/// hdrType; the payload is not looked at. A DpData frame that passes
+/// also passes decode(): its payload is the opaque remainder, and the
+/// digest input is frame[0..10) + frame[kHeaderSize..).
+Result<Header> decode_header(std::span<const std::uint8_t> frame);
 
 /// True when the frame plausibly starts with a p4auth header (used by the
 /// agent to separate protocol frames from plain traffic).

@@ -1130,6 +1130,20 @@ std::size_t sip_lane_width(SipLaneBackend backend) noexcept {
   }
 }
 
+std::size_t sip_lane_crossover(SipLaneBackend backend) noexcept {
+  switch (backend) {
+    case SipLaneBackend::Avx512:
+    case SipLaneBackend::Avx2:
+    case SipLaneBackend::Sse2:
+      return 4;
+    case SipLaneBackend::Neon:
+      return sip_lane_width(backend);
+    case SipLaneBackend::Portable:
+      break;
+  }
+  return kMaxSipLanes + 1;
+}
+
 const char* sip_lane_backend_name(SipLaneBackend backend) noexcept {
   switch (backend) {
     case SipLaneBackend::Portable:

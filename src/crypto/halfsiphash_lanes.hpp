@@ -58,6 +58,16 @@ SipLaneBackend active_sip_lane_backend() noexcept;
 /// Avx2, else 4).
 std::size_t sip_lane_width(SipLaneBackend backend) noexcept;
 
+/// Smallest lane group for which `backend`'s kernel beats the scalar
+/// halfsiphash at micro_crypto's burst job shape (26 B head + 64 B
+/// tail), measured per forced backend on an AVX-512 host. A kernel pass
+/// has a fixed cost (~400-550 ns for one lane against ~155-180 ns
+/// scalar there) that Avx512, Avx2 and Sse2 amortise from 4 lanes (for
+/// Sse2 that is only a full group). Portable never beats scalar and
+/// returns a value above every lane width. Neon cannot be measured on
+/// that host; it keeps its full 4-lane groups.
+std::size_t sip_lane_crossover(SipLaneBackend backend) noexcept;
+
 /// Stable lower-case name for bench/test labels ("avx2", "sse2", ...).
 const char* sip_lane_backend_name(SipLaneBackend backend) noexcept;
 

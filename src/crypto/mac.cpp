@@ -60,12 +60,23 @@ void compute_digest(MacKind kind, std::span<const DigestJob> jobs,
   switch (kind) {
     case MacKind::HalfSipHash24:
     case MacKind::HalfSipHash13: {
-      // DigestJob is the lane-kernel job type, so the batch goes to the
-      // SIMD dispatcher as-is — it pairs full-width groups to overlap
-      // their round chains and masks ragged tails internally.
+      // DigestJob is the lane-kernel job type, so full groups go to the
+      // SIMD dispatcher as-is. A ragged final group below the backend's
+      // crossover (a one-frame burst, say) is cheaper on the scalar path.
       const SipRounds rounds =
           kind == MacKind::HalfSipHash24 ? kHalfSipHash24 : kHalfSipHash13;
-      halfsiphash_lanes(jobs, out, rounds);
+      const SipLaneBackend backend = active_sip_lane_backend();
+      const std::size_t width = sip_lane_width(backend);
+      const std::size_t crossover = sip_lane_crossover(backend);
+      std::size_t laned = 0;
+      if (crossover <= width) {
+        laned = jobs.size() - jobs.size() % width;
+        if (jobs.size() - laned >= crossover) laned = jobs.size();
+      }
+      if (laned > 0) halfsiphash_lanes(jobs.first(laned), out, rounds);
+      for (std::size_t i = laned; i < jobs.size(); ++i) {
+        out[i] = halfsiphash(jobs[i].key, jobs[i].head, jobs[i].tail, rounds);
+      }
       break;
     }
     case MacKind::Crc32Envelope:

@@ -50,10 +50,11 @@ bool verify_digest(MacKind kind, Key64 key, std::span<const std::uint8_t> head,
 using DigestJob = SipLaneJob;
 
 /// Multi-lane variant: out[i] = compute_digest(kind, jobs[i]...) for all
-/// jobs, computed 4–8 at a time with SIMD HalfSipHash lanes
-/// (crypto/halfsiphash_lanes.hpp). Bit-identical to calling the scalar
-/// overload per job; Crc32Envelope has no lane kernel and loops scalar.
-/// Requires out.size() >= jobs.size().
+/// jobs, computed 4–16 at a time with SIMD HalfSipHash lanes
+/// (crypto/halfsiphash_lanes.hpp). Groups smaller than the active
+/// backend's sip_lane_crossover() run scalar. Bit-identical to calling
+/// the scalar overload per job; Crc32Envelope has no lane kernel and
+/// loops scalar. Requires out.size() >= jobs.size().
 void compute_digest(MacKind kind, std::span<const DigestJob> jobs,
                     std::span<Digest32> out) noexcept;
 

@@ -86,7 +86,7 @@ void Fabric::finalize_shards() {
   // --- Partition: contiguous BFS chunks, or the explicit test override.
   // std::map keys the BFS starts and neighbor walks by ascending node id,
   // so the default partition is a pure function of the topology.
-  std::map<std::uint32_t, std::vector<std::uint32_t>> adjacency;
+  std::map<std::uint16_t, std::vector<std::uint16_t>> adjacency;
   for (auto& entry : switches_) adjacency[entry.sw->id().value];
   for (const LinkRecord& l : links_) {
     adjacency[l.a.value].push_back(l.b.value);
@@ -102,19 +102,19 @@ void Fabric::finalize_shards() {
       assignment.emplace_back(entry.sw->id(), shard);
     }
   } else {
-    std::vector<std::uint32_t> order;
-    std::map<std::uint32_t, bool> visited;
+    std::vector<std::uint16_t> order;
+    std::map<std::uint16_t, bool> visited;
     for (auto& [start, unused] : adjacency) {
       (void)unused;
       if (visited[start]) continue;
-      std::vector<std::uint32_t> queue{start};
+      std::vector<std::uint16_t> queue{start};
       visited[start] = true;
       for (std::size_t head = 0; head < queue.size(); ++head) {
-        const std::uint32_t id = queue[head];
+        const std::uint16_t id = queue[head];
         order.push_back(id);
-        std::vector<std::uint32_t> neighbors = adjacency[id];
+        std::vector<std::uint16_t> neighbors = adjacency[id];
         std::sort(neighbors.begin(), neighbors.end());
-        for (const std::uint32_t next : neighbors) {
+        for (const std::uint16_t next : neighbors) {
           if (!visited[next]) {
             visited[next] = true;
             queue.push_back(next);

@@ -38,7 +38,7 @@ class HulaTest : public ::testing::Test {
     probe.origin_tor = kTor;
     probe.max_util = util;
     probe.trace = {{kTor, PortId{0}, 0}, {via, PortId{1}, util}};
-    return encode_probe(probe);
+    return encode_probe(probe).value();
   }
 
   Bytes data(std::uint64_t flow, std::uint32_t size = 1000) {
@@ -109,9 +109,46 @@ TEST_F(HulaTest, LoopingProbeDropped) {
   Probe probe;
   probe.origin_tor = kTor;
   probe.trace = {{kTor, PortId{0}, 0}, {kSelf, PortId{1}, 5}};  // we are already in it
-  auto out = deliver(encode_probe(probe), PortId{1}, SimTime::from_us(10));
+  auto out = deliver(encode_probe(probe).value(), PortId{1}, SimTime::from_us(10));
   EXPECT_TRUE(out.dropped);
   EXPECT_TRUE(out.emits.empty());
+}
+
+std::uint64_t hula_register_accesses(dataplane::RegisterFile& regs) {
+  std::uint64_t total = 0;
+  for (const char* name : {"hula_best_hop", "hula_best_util", "hula_last_update",
+                           "hula_flowlet_port", "hula_flowlet_time", "hula_util_bytes",
+                           "hula_util_time"}) {
+    total += regs.by_name(name)->accesses();
+  }
+  return total;
+}
+
+TEST_F(HulaTest, FullTraceProbeDroppedBeforeRegisterAccess) {
+  // The hop count is one byte: a 255-hop trace has no room for our record,
+  // and forwarding it would emit a frame whose count wrapped to 0.
+  Probe probe;
+  probe.origin_tor = kTor;
+  probe.max_util = 10;
+  probe.trace.assign(kMaxProbeHops, HopRecord{NodeId{2}, PortId{1}, 5});
+  const std::uint64_t before = hula_register_accesses(*regs_);
+  auto out = deliver(encode_probe(probe).value(), PortId{1}, SimTime::from_us(10));
+  EXPECT_TRUE(out.dropped);
+  EXPECT_TRUE(out.emits.empty());
+  EXPECT_EQ(hula_register_accesses(*regs_), before);
+  EXPECT_FALSE(program_->best_hop(kTor, SimTime::from_us(20)).has_value());
+}
+
+TEST_F(HulaTest, ProbeOneHopShortOfFullIsForwardedFull) {
+  Probe probe;
+  probe.origin_tor = kTor;
+  probe.trace.assign(kMaxProbeHops - 1, HopRecord{NodeId{2}, PortId{1}, 5});
+  auto out = deliver(encode_probe(probe).value(), PortId{1}, SimTime::from_us(10));
+  ASSERT_EQ(out.emits.size(), 1u);
+  const auto forwarded = decode_probe(out.emits[0].payload);
+  ASSERT_TRUE(forwarded.ok());
+  EXPECT_EQ(forwarded.value().trace.size(), kMaxProbeHops);
+  EXPECT_EQ(forwarded.value().trace.back().node, kSelf);
 }
 
 TEST_F(HulaTest, DataFollowsBestHop) {

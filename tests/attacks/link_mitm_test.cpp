@@ -16,7 +16,7 @@ Bytes raw_probe(std::uint8_t util) {
   probe.origin_tor = NodeId{5};
   probe.max_util = util;
   probe.trace = {{NodeId{5}, PortId{0}, 0}, {NodeId{4}, PortId{2}, util}};
-  return hula::encode_probe(probe);
+  return hula::encode_probe(probe).value();
 }
 
 Bytes wrapped_probe(std::uint8_t util) {

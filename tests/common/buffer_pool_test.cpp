@@ -60,6 +60,39 @@ TEST(BufferPool, FreeListCapBoundsParkedBuffers) {
   EXPECT_EQ(pool.stats().high_water, 2u);
 }
 
+TEST(BufferPool, OversizeReleaseIsDropped) {
+  // Nothing acquires more than a few hundred bytes; a dead 1,200-byte data
+  // payload parked here would pin its storage until the run ends.
+  BufferPool pool(BufferPool::Config{.max_buffers = 8, .min_capacity = 64});
+  EXPECT_EQ(pool.max_parked_capacity(), 256u);
+  Bytes fits;
+  fits.reserve(256);
+  pool.release(std::move(fits));
+  Bytes oversize;
+  oversize.reserve(257);
+  pool.release(std::move(oversize));
+  EXPECT_EQ(pool.free_buffers(), 1u);
+  EXPECT_EQ(pool.stats().releases, 1u);
+  EXPECT_EQ(pool.stats().dropped, 1u);
+  EXPECT_GE(pool.acquire().capacity(), 256u);  // the parked one comes back
+  EXPECT_EQ(pool.stats().reuses, 1u);
+}
+
+TEST(BufferPool, UndersizeReleaseIsDropped) {
+  // An exact-size injected frame would have to regrow at the acquire that
+  // took it: that acquire allocates either way, so it is not parked.
+  BufferPool pool(BufferPool::Config{.max_buffers = 8, .min_capacity = 64});
+  Bytes tiny{0x47};
+  pool.release(std::move(tiny));
+  EXPECT_EQ(pool.free_buffers(), 0u);
+  EXPECT_EQ(pool.stats().dropped, 1u);
+  Bytes fits;
+  fits.reserve(64);
+  pool.release(std::move(fits));
+  EXPECT_EQ(pool.free_buffers(), 1u);
+  EXPECT_EQ(pool.stats().releases, 1u);
+}
+
 TEST(BufferPool, SteadyStateCycleStopsAllocating) {
   BufferPool pool;
   pool.release(pool.acquire(64));

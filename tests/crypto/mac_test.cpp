@@ -93,6 +93,47 @@ TEST(Mac, KindsDisagree) {
   EXPECT_NE(sip, crc);
 }
 
+// The multi-job overload sends full lane groups to the SIMD kernel and a
+// ragged group below the backend's crossover to scalar halfsiphash. Every
+// job count, under every backend the running CPU supports, must match per-job
+// scalar digests.
+TEST(Mac, MultiJobMatchesScalarForEveryJobCountUnderEveryBackend) {
+  Xoshiro256 rng(21);
+  constexpr std::size_t kJobs = 40;
+  std::vector<std::vector<std::uint8_t>> heads(kJobs);
+  std::vector<std::vector<std::uint8_t>> tails(kJobs);
+  std::vector<DigestJob> jobs(kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    heads[i].resize(rng.next_below(27));
+    tails[i].resize(rng.next_below(120));
+    for (auto& b : heads[i]) b = static_cast<std::uint8_t>(rng.next_u32());
+    for (auto& b : tails[i]) b = static_cast<std::uint8_t>(rng.next_u32());
+    jobs[i] = DigestJob{rng.next_u64(), heads[i], tails[i]};
+  }
+
+  std::size_t backends = 0;
+  for (const SipLaneBackend backend :
+       {SipLaneBackend::Portable, SipLaneBackend::Sse2, SipLaneBackend::Avx2,
+        SipLaneBackend::Avx512, SipLaneBackend::Neon}) {
+    if (!force_sip_lane_backend(backend)) continue;
+    ++backends;
+    for (const MacKind kind :
+         {MacKind::HalfSipHash24, MacKind::HalfSipHash13, MacKind::Crc32Envelope}) {
+      for (std::size_t n = 1; n <= kJobs; ++n) {
+        std::vector<Digest32> out(n, 0);
+        compute_digest(kind, std::span<const DigestJob>(jobs.data(), n), out);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(out[i], compute_digest(kind, jobs[i].key, jobs[i].head, jobs[i].tail))
+              << sip_lane_backend_name(backend) << " kind " << static_cast<int>(kind)
+              << " jobs " << n << " job " << i;
+        }
+      }
+    }
+  }
+  reset_sip_lane_backend();
+  EXPECT_GE(backends, 1u);
+}
+
 // A brute-force MitM guessing tags succeeds with probability ~2^-32 per
 // try (§VIII). Simulate a bounded guess budget and confirm zero hits.
 TEST(Mac, RandomGuessesDoNotVerify) {

@@ -1,11 +1,13 @@
-// Zero-allocation regression test for the steady-state forwarding path.
+// Zero-allocation regression tests for the steady-state hot paths.
 //
-// Builds a 3-switch hula line (S1 tor -> S2 -> S3 tor) with P4Auth
-// enabled, runs one probe round plus a data warmup so every table, pool
-// buffer, and event-queue slot exists, then counts global operator new
-// calls across a measurement window that contains only data forwarding.
-// The pooled-buffer + inline-closure + scratch-digest design must keep
-// that window at exactly zero allocations.
+// The first builds a 3-switch hula line (S1 tor -> S2 -> S3 tor) with
+// P4Auth enabled, runs one probe round plus a data warmup so every table,
+// pool buffer, and event-queue slot exists, then counts global operator
+// new calls across a measurement window that contains only data
+// forwarding. The second counts them across rounds of authenticated probe
+// hops on the sharded engine. The pooled-buffer + inline-closure +
+// in-place-codec design must keep both windows at exactly zero
+// allocations.
 //
 // This binary compiles src/common/alloc_probe.cpp directly (see that
 // file's header comment): the counting operator new is per-binary and an
@@ -65,9 +67,8 @@ TEST(AllocRegression, SteadyStateHulaForwardingDoesNotAllocate) {
   // (inject() delays are relative already, run_until targets are not).
   const SimTime t0 = fabric.sim.now();
 
-  // One probe round from S3 teaches S2 and S1 the route toward S3. The
-  // probe path (trace growth, p4auth wrap + verify) is allowed to
-  // allocate; it stays outside the measurement window.
+  // One probe round from S3 teaches S2 and S1 the route toward S3; it
+  // runs during warmup (the probe hop has its own window below).
   fabric.net.inject(kS3, kHostPort, hula::encode_probe_gen(), SimTime::from_us(50));
 
   // All injections are scheduled up front so the event heap reaches its
@@ -105,6 +106,65 @@ TEST(AllocRegression, SteadyStateHulaForwardingDoesNotAllocate) {
   const auto& pool_stats = fabric.net.pool().stats();
   EXPECT_GT(pool_stats.releases, 0u);
   EXPECT_LE(fabric.net.pool().free_buffers(), fabric.net.pool().config().max_buffers);
+}
+
+// The authenticated feedback hop: every switch of a P4Auth HULA chain
+// verifies the probe's DpData frame, grows the probe's trace by one record
+// and re-tags it for the next link. Run on the sharded engine at one shard
+// (the engine the ledger benchmark measures), after a warm-up with the
+// same schedule, the window must not allocate.
+TEST(AllocRegression, SteadyStateAuthenticatedProbeHopsDoNotAllocate) {
+  ASSERT_TRUE(AllocProbe::active());
+  constexpr int kSwitches = 5;
+  constexpr int kProbes = 200;
+  const auto node = [](int i) { return NodeId{static_cast<std::uint16_t>(i)}; };
+
+  experiments::Fabric::Options options;
+  options.p4auth = true;
+  options.seed = 11;
+  options.shards = 1;
+  options.protected_magics = {hula::kProbeMagic};
+  experiments::Fabric fabric(options);
+  for (int i = 1; i <= kSwitches; ++i) {
+    std::vector<PortId> probe_ports;
+    if (i < kSwitches) probe_ports.push_back(PortId{2});
+    fabric.add_switch(node(i), make_hula(node(i), i == 1 || i == kSwitches, probe_ports));
+  }
+  netsim::LinkConfig link;
+  link.latency = SimTime::from_us(40);
+  for (int i = 1; i < kSwitches; ++i) {
+    fabric.connect(node(i), PortId{2}, node(i + 1), PortId{1}, link);
+  }
+  ASSERT_TRUE(fabric.init_all_keys().ok());
+
+  // Injection copies each trigger onto the heap, so both rounds are
+  // scheduled outside the window; the first also grows the event heap and
+  // the buffer pool to the round's high-water mark.
+  const auto inject_round = [&] {
+    for (int i = 0; i < kProbes; ++i) {
+      fabric.net.inject(node(1), kHostPort, hula::encode_probe_gen(),
+                        SimTime::from_us(100 + static_cast<std::uint64_t>(i)));
+    }
+  };
+  const auto& sink = fabric.at(node(kSwitches)).agent->stats();
+  inject_round();
+  fabric.run_all();
+  ASSERT_EQ(sink.feedback_verified, static_cast<std::uint64_t>(kProbes));
+
+  inject_round();
+  AllocProbe::reset();
+  fabric.run_all();
+  const std::uint64_t allocations = AllocProbe::allocations();
+
+  // Every probe crossed all four links, verified at each hop.
+  EXPECT_EQ(sink.feedback_verified, 2u * kProbes);
+  std::uint64_t failures = 0;
+  for (int i = 1; i <= kSwitches; ++i) {
+    failures += fabric.at(node(i)).agent->stats().digest_failures;
+  }
+  EXPECT_EQ(failures, 0u);
+  EXPECT_EQ(allocations, 0u) << "authenticated probe hops must not touch the heap; "
+                             << kProbes * (kSwitches - 1) << " hops in the window";
 }
 
 }  // namespace
