@@ -1,5 +1,6 @@
 #include "controller/controller.hpp"
 
+#include "common/check.hpp"
 #include "common/logging.hpp"
 #include "core/lldp.hpp"
 
@@ -560,7 +561,7 @@ void Controller::flush_packet_ins() {
   // key state (the staging boundary rule guarantees no earlier in-batch
   // message can rotate this switch's keys), then compute the digests —
   // through the multi-lane kernel when at least two are pending.
-  std::vector<std::size_t> lanes;
+  verify_lanes_.clear();
   for (std::size_t i = 0; i < staged_packet_ins_.size(); ++i) {
     StagedPacketIn& s = staged_packet_ins_[i];
     if (s.is_lldp) continue;
@@ -573,41 +574,44 @@ void Controller::flush_packet_ins() {
       s.digest_ok = false;
       continue;
     }
-    lanes.push_back(i);
+    verify_lanes_.push_back(i);
   }
-  if (lanes.size() >= 2) {
-    // Scratches live in this frame for the whole compute call: the jobs
-    // borrow their head spans.
-    std::vector<core::DigestScratch> scratch(lanes.size());
-    std::vector<crypto::DigestJob> jobs(lanes.size());
-    std::vector<Digest32> tags(lanes.size());
-    for (std::size_t j = 0; j < lanes.size(); ++j) {
-      StagedPacketIn& s = staged_packet_ins_[lanes[j]];
-      const core::DigestView input = core::digest_input_into(s.msg, scratch[j]);
-      jobs[j] = crypto::DigestJob{*s.key, input.head, input.tail};
+  const std::size_t lanes = verify_lanes_.size();
+  if (lanes >= 2) {
+    // The jobs borrow their head spans from the scratches, which stay
+    // untouched until the compute call returns.
+    verify_scratch_.resize(lanes);
+    verify_jobs_.resize(lanes);
+    verify_tags_.resize(lanes);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      StagedPacketIn& s = staged_packet_ins_[verify_lanes_[j]];
+      const core::DigestView input = core::digest_input_into(s.msg, verify_scratch_[j]);
+      verify_jobs_[j] = crypto::DigestJob{*s.key, input.head, input.tail};
     }
-    crypto::compute_digest(config_.mac, jobs, tags);
-    for (std::size_t j = 0; j < lanes.size(); ++j) {
-      StagedPacketIn& s = staged_packet_ins_[lanes[j]];
-      s.digest_ok = tags[j] == s.msg.header.digest;
+    crypto::compute_digest(config_.mac, verify_jobs_, verify_tags_);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      StagedPacketIn& s = staged_packet_ins_[verify_lanes_[j]];
+      s.digest_ok = verify_tags_[j] == s.msg.header.digest;
     }
     ++stats_.batched_verifies;
-    stats_.batch_verified_messages += lanes.size();
+    stats_.batch_verified_messages += lanes;
     if (telemetry_ != nullptr) {
       telemetry_->metrics.counter("ctrl.batched_verifies").inc();
-      telemetry_->metrics.counter("ctrl.batch_verified_messages").inc(lanes.size());
+      telemetry_->metrics.counter("ctrl.batch_verified_messages").inc(lanes);
     }
   } else {
-    for (const std::size_t i : lanes) {
+    for (const std::size_t i : verify_lanes_) {
       StagedPacketIn& s = staged_packet_ins_[i];
       s.digest_ok = core::verify_message(config_.mac, *s.key, s.msg);
     }
   }
   // Phase 2: dispatch in arrival order, each message inside its own
-  // delivery span (captured at staging time).
-  std::vector<StagedPacketIn> batch = std::move(staged_packet_ins_);
-  staged_packet_ins_.clear();
-  for (StagedPacketIn& s : batch) {
+  // delivery span (captured at staging time). PacketIns arrive only from
+  // simulator events, so no handler below can stage or flush while the
+  // batch is being dispatched.
+  P4AUTH_CHECK(dispatching_.empty(), "re-entrant PacketIn flush");
+  dispatching_.swap(staged_packet_ins_);
+  for (StagedPacketIn& s : dispatching_) {
     const auto scope = span_resume(s.span);
     if (s.is_lldp) {
       on_lldp_report(s.st->id, s.frame);
@@ -627,6 +631,7 @@ void Controller::flush_packet_ins() {
         break;
     }
   }
+  dispatching_.clear();
 }
 
 }  // namespace p4auth::controller

@@ -236,6 +236,14 @@ class Controller {
   netsim::Simulator& sim_;
   Config config_;
   std::vector<StagedPacketIn> staged_packet_ins_;
+  /// The batch being dispatched. Each flush swaps the staged batch in and
+  /// clears it after dispatch, so both buffers keep their capacity.
+  std::vector<StagedPacketIn> dispatching_;
+  // Batched-verify scratch, reused across flushes.
+  std::vector<std::size_t> verify_lanes_;
+  std::vector<core::DigestScratch> verify_scratch_;
+  std::vector<crypto::DigestJob> verify_jobs_;
+  std::vector<Digest32> verify_tags_;
   std::unordered_map<NodeId, std::unique_ptr<SwitchState>> switches_;
   std::vector<PendingPortInit> pending_port_inits_;
   std::vector<Adjacency> adjacencies_;

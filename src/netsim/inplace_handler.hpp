@@ -51,6 +51,9 @@ class InplaceHandler {
 
   ~InplaceHandler() { destroy(); }
 
+  /// Destroys the held closure, leaving the handler empty.
+  void reset() noexcept { destroy(); }
+
   void operator()() { vtable_->invoke(storage_); }
 
   explicit operator bool() const noexcept { return vtable_ != nullptr; }

@@ -139,7 +139,7 @@ void Network::export_pool_stats() {
 }
 
 void Network::schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
-                                Simulator::Handler fn) {
+                                Simulator::Handler&& fn) {
   if (engine_ == nullptr) {
     src.sim->after_keyed(delay, key, std::move(fn));
     return;

@@ -211,7 +211,7 @@ class Network {
   /// rank (each rank's counter lives on one shard, so the sequence is
   /// partition-invariant), then routed to `dst`'s home shard.
   void schedule_delivery(ShardState& src, NodeId dst, SimTime delay, std::uint64_t key,
-                         Simulator::Handler fn);
+                         Simulator::Handler&& fn);
 
   /// Coalescing key for deliveries to `node`: nonzero, distinct per node.
   static std::uint64_t delivery_key(NodeId node) noexcept {

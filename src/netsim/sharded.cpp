@@ -1,8 +1,8 @@
 #include "netsim/sharded.hpp"
 
-#include <cassert>
 #include <utility>
 
+#include "common/check.hpp"
 #include "runner/runner.hpp"
 
 namespace p4auth::netsim {
@@ -35,7 +35,7 @@ ShardedSimulator::ShardedSimulator(Simulator& shard0, int count, int workers)
 ShardedSimulator::~ShardedSimulator() = default;
 
 void ShardedSimulator::schedule(int dst_shard, SimTime t, std::uint64_t key,
-                                std::uint64_t order, Simulator::Handler fn) {
+                                std::uint64_t order, Simulator::Handler&& fn) {
   const int src = current_shard();
   if (src < 0 || src == dst_shard) {
     sims_[static_cast<std::size_t>(dst_shard)]->at_ordered(t, key, order, std::move(fn));
@@ -44,7 +44,7 @@ void ShardedSimulator::schedule(int dst_shard, SimTime t, std::uint64_t key,
   // Conservative-lookahead invariant: a cross-shard send made during a
   // window can only land at or past the horizon, so the destination —
   // running the same window concurrently — cannot miss it.
-  assert(t >= horizon_ && "cross-shard send below the lookahead horizon");
+  P4AUTH_CHECK(t >= horizon_, "cross-shard send below the lookahead horizon");
   mail_[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst_shard)].push_back(
       Pending{t, key, order, std::move(fn)});
 }
@@ -73,7 +73,7 @@ void ShardedSimulator::run() {
     set_current_shard(kNoShard);
     return;
   }
-  assert(lookahead_.ns() > 0 && "sharded run needs a positive lookahead");
+  P4AUTH_CHECK(lookahead_.ns() > 0, "sharded run needs a positive lookahead");
   for (;;) {
     drain_mailboxes();
     bool any = false;
@@ -88,17 +88,11 @@ void ShardedSimulator::run() {
     }
     if (!any) break;
     horizon_ = t_min + lookahead_;
-    if (sims_.size() == 1) {
-      set_current_shard(0);
-      sims_[0]->run_window(horizon_);
+    pool_->dispatch(sims_.size(), [this](std::size_t k) {
+      set_current_shard(static_cast<int>(k));
+      sims_[k]->run_window(horizon_);
       set_current_shard(kNoShard);
-    } else {
-      pool_->dispatch(sims_.size(), [this](std::size_t k) {
-        set_current_shard(static_cast<int>(k));
-        sims_[k]->run_window(horizon_);
-        set_current_shard(kNoShard);
-      });
-    }
+    });
   }
   // Quiescent: re-align every clock to the global end time so harness
   // code scheduling relative to "now" behaves identically for any shard

@@ -56,8 +56,9 @@ class ShardedSimulator {
   Simulator& shard(int k) noexcept { return *sims_[static_cast<std::size_t>(k)]; }
   const std::vector<Simulator*>& shard_sims() const noexcept { return sims_; }
 
-  /// Minimum cross-shard delivery delay; must be > 0 before run(). The
-  /// Fabric computes it from the partition's cut edges.
+  /// Minimum cross-shard delivery delay; must be > 0 before a run with
+  /// more than one shard (checked in every build type). The Fabric
+  /// computes it from the partition's cut edges.
   void set_lookahead(SimTime lookahead) noexcept { lookahead_ = lookahead; }
   SimTime lookahead() const noexcept { return lookahead_; }
 
@@ -69,9 +70,10 @@ class ShardedSimulator {
   /// shard or quiescent: straight into the heap. Cross-shard during a
   /// window: into the sender's SPSC mailbox, drained at the next
   /// barrier — legal only at or past the current horizon, which the
-  /// lookahead guarantees.
+  /// lookahead guarantees (a send below it fails the run in every build
+  /// type).
   void schedule(int dst_shard, SimTime t, std::uint64_t key, std::uint64_t order,
-                Simulator::Handler fn);
+                Simulator::Handler&& fn);
 
   /// Runs windows until every heap and mailbox drains, then re-aligns
   /// all shard clocks to the global end time so quiescent harness code

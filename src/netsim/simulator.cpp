@@ -1,7 +1,8 @@
 #include "netsim/simulator.hpp"
 
-#include <cassert>
+#include <algorithm>
 
+#include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace p4auth::netsim {
@@ -80,10 +81,31 @@ std::uint32_t CoalesceIndex::count(std::uint64_t t_ns, std::uint64_t key) const 
   }
 }
 
-void Simulator::push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn) {
+std::uint32_t Simulator::acquire_slot() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t index = free_head_;
+    free_head_ = static_cast<std::uint32_t>(slot(index).key);
+    return index;
+  }
+  if ((slots_used_ >> kChunkShift) == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Slot[]>(std::size_t{1} << kChunkShift));
+  }
+  return slots_used_++;
+}
+
+void Simulator::release_slot(std::uint32_t index) noexcept {
+  slot(index).key = free_head_;
+  free_head_ = index;
+}
+
+void Simulator::push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn) {
   ++scheduled_;
   if (rank_ordering() && key != 0) coalesce_.add(t.ns(), key);
-  heap_.push_back(Event{t, order, key, std::move(fn)});
+  const std::uint32_t index = acquire_slot();
+  Slot& s = slot(index);
+  s.fn = std::move(fn);
+  s.key = key;
+  heap_.push_back(Entry{t, order, index});
   if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
@@ -92,16 +114,14 @@ void Simulator::observe_lag_value(SimTime lag) {
   sched_lag_ns_->observe(static_cast<double>(lag.ns()));
 }
 
-void Simulator::at_keyed(SimTime t, std::uint64_t key, Handler fn) {
-  assert(t >= now_ && "cannot schedule into the past");
-  if (t < now_) t = now_;  // release builds: fire immediately, never rewind
+void Simulator::at_keyed(SimTime t, std::uint64_t key, Handler&& fn) {
+  P4AUTH_CHECK(t >= now_, "cannot schedule into the past");
   if (sched_lag_ns_ != nullptr) observe_lag_value(t - now_);
   push_event(t, key, allocate_order(), std::move(fn));
 }
 
-void Simulator::at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn) {
-  assert(t >= now_ && "cannot schedule into the past");
-  if (t < now_) t = now_;
+void Simulator::at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn) {
+  P4AUTH_CHECK(t >= now_, "cannot schedule into the past");
   push_event(t, key, order, std::move(fn));
 }
 
@@ -125,40 +145,37 @@ void Simulator::export_stats() {
   }
 }
 
-Simulator::Event Simulator::pop_next() {
-  // Move out before the handler runs: it may schedule new events and
-  // reshape the heap under us.
+void Simulator::fire_next() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Entry next = heap_.back();
   heap_.pop_back();
-  now_ = ev.time;
-  firing_key_ = ev.key;
-  firing_order_ = ev.order;
+  Slot& s = slot(next.slot);
+  now_ = next.time;
+  firing_key_ = s.key;
+  firing_order_ = next.order;
   if (rank_ordering()) {
-    if (ev.key != 0) coalesce_.remove(ev.time.ns(), ev.key);
-    current_rank_ = static_cast<std::uint32_t>(ev.order >> 32);
+    if (s.key != 0) coalesce_.remove(next.time.ns(), s.key);
+    current_rank_ = static_cast<std::uint32_t>(next.order >> 32);
   }
   ++processed_;
-  return ev;
+  // Runs in place: the closure may schedule more events and grow the
+  // slab, but chunks never move and this slot stays taken until it
+  // returns. Destroying it here — after it returns, before the next
+  // event fires — fixes where captured pool buffers are released.
+  s.fn();
+  firing_key_ = 0;
+  firing_order_ = 0;
+  s.fn.reset();
+  release_slot(next.slot);
 }
 
 void Simulator::run(std::size_t max_events) {
-  while (!heap_.empty() && processed_ < max_events) {
-    Event ev = pop_next();
-    ev.fn();
-    firing_key_ = 0;
-    firing_order_ = 0;
-  }
+  while (!heap_.empty() && processed_ < max_events) fire_next();
   current_rank_ = kRootRank;
 }
 
 void Simulator::run_until(SimTime t) {
-  while (!heap_.empty() && heap_.front().time <= t) {
-    Event ev = pop_next();
-    ev.fn();
-    firing_key_ = 0;
-    firing_order_ = 0;
-  }
+  while (!heap_.empty() && heap_.front().time <= t) fire_next();
   current_rank_ = kRootRank;
   // Advance-only: a run_until into the past (t < now()) must not rewind
   // the clock, or subsequent after() calls would schedule "before" events
@@ -167,12 +184,7 @@ void Simulator::run_until(SimTime t) {
 }
 
 void Simulator::run_window(SimTime horizon) {
-  while (!heap_.empty() && heap_.front().time < horizon) {
-    Event ev = pop_next();
-    ev.fn();
-    firing_key_ = 0;
-    firing_order_ = 0;
-  }
+  while (!heap_.empty() && heap_.front().time < horizon) fire_next();
   current_rank_ = kRootRank;
 }
 

@@ -17,15 +17,21 @@
 //    partitioned — the property that makes sharded runs byte-identical
 //    for any shard count (see docs/DESIGN.md "Sharded simulation").
 //
-// Events carry their closures in a move-only InplaceHandler (inline up to
-// 64 bytes) and sit in a flat binary heap (std::vector + std::push_heap),
-// so the steady-state schedule/fire cycle performs no heap allocations:
-// std::priority_queue was dropped because its const top() forces either a
-// copyable handler or a const_cast move.
+// The queue is index-keyed. A binary heap (std::vector + std::push_heap)
+// holds trivially copyable 24-byte {time, order, slot} entries, so a sift
+// step moves 24 bytes and never a closure. Each closure (a move-only
+// InplaceHandler, inline up to 64 bytes) and its coalescing key live in a
+// slot of a slab built from fixed-size chunks that never move; freed
+// slots are recycled through a free list. A closure is moved into its
+// slot once when scheduled and runs there in place, however deep the
+// queue; it is destroyed after it returns and before the next event
+// fires. Once the heap and slab reach their high-water marks the
+// schedule/fire cycle performs no heap allocations.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -77,18 +83,19 @@ class Simulator {
 
   SimTime now() const noexcept { return now_; }
 
-  /// Schedules `fn` at absolute time `t`. Precondition: t >= now().
-  void at(SimTime t, Handler fn) { at_keyed(t, 0, std::move(fn)); }
+  /// Schedules `fn` at absolute time `t`. Scheduling into the past
+  /// (t < now()) fails the run in every build type.
+  void at(SimTime t, Handler&& fn) { at_keyed(t, 0, std::move(fn)); }
   /// Schedules `fn` `delay` after now().
-  void after(SimTime delay, Handler fn) { at(now_ + delay, std::move(fn)); }
+  void after(SimTime delay, Handler&& fn) { at(now_ + delay, std::move(fn)); }
 
   /// Schedules `fn` at `t` under a coalescing key (0 = none). Events
   /// sharing a fire time and a nonzero key form a burst: while one of
   /// them is running, coalesce_continues() reports whether more of the
   /// burst is still pending. Keys affect nothing else — fire order stays
   /// strictly (time, order).
-  void at_keyed(SimTime t, std::uint64_t key, Handler fn);
-  void after_keyed(SimTime delay, std::uint64_t key, Handler fn) {
+  void at_keyed(SimTime t, std::uint64_t key, Handler&& fn);
+  void after_keyed(SimTime delay, std::uint64_t key, Handler&& fn) {
     at_keyed(now_ + delay, key, std::move(fn));
   }
 
@@ -103,7 +110,8 @@ class Simulator {
   bool coalesce_continues() const noexcept {
     if (firing_key_ == 0) return false;
     if (rank_ordering()) return coalesce_.count(now_.ns(), firing_key_) > 0;
-    return !heap_.empty() && heap_.front().time == now_ && heap_.front().key == firing_key_;
+    return !heap_.empty() && heap_.front().time == now_ &&
+           slot(heap_.front().slot).key == firing_key_;
   }
 
   /// Runs until the queue drains (or max_events fires as a runaway guard).
@@ -153,7 +161,7 @@ class Simulator {
   /// Pushes an event whose order was already allocated (cross-shard
   /// mailbox drain). Does not observe scheduling lag — the sender already
   /// observed it into its own shard's bundle at send time.
-  void at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn);
+  void at_ordered(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn);
 
   /// Observes a scheduling lag on behalf of a cross-shard send (the event
   /// itself is pushed on the destination shard via at_ordered).
@@ -201,28 +209,52 @@ class Simulator {
   void export_stats();
 
  private:
-  struct Event {
+  /// Heap entry: the closure stays in its slab slot, so a sift step moves
+  /// these 24 bytes only.
+  struct Entry {
     SimTime time;
     std::uint64_t order;
-    std::uint64_t key;  ///< coalescing key (0 = never coalesces)
-    Handler fn;
+    std::uint32_t slot;  ///< index of the closure's slab slot
   };
+  static_assert(sizeof(Entry) == 24 && std::is_trivially_copyable_v<Entry>);
+
   /// Heap predicate: std::push_heap builds a max-heap, so "later fires
   /// lower" puts the earliest (time, order) at the front. (time, order)
   /// pairs are unique in both ordering modes, which makes the fire order
   /// total and deterministic.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.order > b.order;
     }
   };
 
-  void push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler fn);
+  /// A pending event's closure and coalescing key.
+  struct Slot {
+    Handler fn;
+    std::uint64_t key = 0;  ///< coalescing key; the next free slot while free
+  };
+  static_assert(sizeof(Slot) <= 96, "slab memory per pending event must stay within 96 B");
+
+  static constexpr std::uint32_t kChunkShift = 8;  ///< 256 slots (24 KiB) per chunk
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
+  static constexpr std::uint32_t kNoSlot = ~0u;
+
+  Slot& slot(std::uint32_t index) noexcept {
+    return chunks_[index >> kChunkShift][index & kChunkMask];
+  }
+  const Slot& slot(std::uint32_t index) const noexcept {
+    return chunks_[index >> kChunkShift][index & kChunkMask];
+  }
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t index) noexcept;
+
+  void push_event(SimTime t, std::uint64_t key, std::uint64_t order, Handler&& fn);
   void observe_lag_value(SimTime lag);
 
-  /// Moves the earliest event out of the heap and advances the clock.
-  Event pop_next();
+  /// Pops the earliest entry, advances the clock, and runs its closure in
+  /// its slot; then destroys the closure and recycles the slot.
+  void fire_next();
 
   SimTime now_{};
   std::uint64_t next_seq_ = 0;    ///< legacy insertion-order counter
@@ -230,8 +262,13 @@ class Simulator {
   std::uint64_t firing_key_ = 0;  ///< key of the event currently running
   std::uint64_t firing_order_ = 0;
   std::size_t processed_ = 0;
-  std::vector<Event> heap_;
+  std::vector<Entry> heap_;
   std::size_t max_queue_depth_ = 0;
+
+  // Closure slab: slot i lives at chunks_[i >> kChunkShift][i & kChunkMask].
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slots_used_ = 0;      ///< slots ever handed out (the bump mark)
+  std::uint32_t free_head_ = kNoSlot;  ///< LIFO free list threaded through Slot::key
 
   // Rank-ordering state (engine mode only; root_counter_ null = legacy).
   std::uint64_t* root_counter_ = nullptr;

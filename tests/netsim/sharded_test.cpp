@@ -141,5 +141,33 @@ TEST(ShardedSimulator, ParallelWorkersDrainManyWindows) {
   EXPECT_EQ(engine.processed(), 32u);
 }
 
+// --- Always-on engine invariants -----------------------------------------
+
+TEST(EngineInvariantDeathTest, CrossShardSendBelowHorizonFailsTheRun) {
+  EXPECT_DEATH(
+      {
+        Simulator sim0;
+        ShardedSimulator engine(sim0, 2, 1);
+        engine.set_lookahead(us(10));
+        engine.shard(0).at(us(5), [&] {
+          // Window [5, 15): a send landing at 6 us is below the horizon.
+          engine.schedule(1, sim0.now() + us(1), 0, sim0.allocate_order(), [] {});
+        });
+        engine.run();
+      },
+      "sharded\\.cpp:[0-9]+: check failed: .*below the lookahead horizon");
+}
+
+TEST(EngineInvariantDeathTest, ZeroLookaheadFailsTheRun) {
+  EXPECT_DEATH(
+      {
+        Simulator sim0;
+        ShardedSimulator engine(sim0, 2, 1);
+        engine.shard(1).at(us(5), [] {});
+        engine.run();  // lookahead never set: the window could not advance
+      },
+      "sharded\\.cpp:[0-9]+: check failed: .*positive lookahead");
+}
+
 }  // namespace
 }  // namespace p4auth::netsim
